@@ -25,9 +25,11 @@
 //
 // --shards K runs the deployment on the sharded conservative-PDES engine
 // (DESIGN.md §11). The JSON gains "shards" (requested), "effective_shards"
-// (after fallbacks) and a deterministic "checksum" over per-node delivery
-// counters plus traffic totals — identical at every shard count, which
-// tools/bench.sh asserts when it records the pdes_scaling section.
+// (after fallbacks), "windows" and "lookahead_ms" (lookahead windows run and
+// their width; 0 when unsharded) and a deterministic "checksum" over
+// per-node delivery counters plus traffic totals — identical at every shard
+// count, which tools/bench.sh asserts when it records the pdes_scaling
+// section.
 //
 // --curve runs one single-run point per node count (default 8k/32k/128k/512k,
 // sim horizon scaled down as the deployment grows) and emits a JSON array of
@@ -312,6 +314,9 @@ int main(int argc, char** argv) {
   const double run_wall = seconds_since(run_start);
 
   const std::uint64_t events = system.events_processed();
+  const std::uint64_t windows = system.sharded()
+                                    ? system.sharded_engine()->windows()
+                                    : 0;
   const auto pool = system.network().pool_counters();
   const double rss = peak_rss_mib();
 
@@ -336,6 +341,8 @@ int main(int argc, char** argv) {
       "  \"seed\": %llu,\n"
       "  \"shards\": %zu,\n"
       "  \"effective_shards\": %zu,\n"
+      "  \"windows\": %llu,\n"
+      "  \"lookahead_ms\": %.3f,\n"
       "  \"checksum\": \"%016llx\",\n"
       "  \"setup_wall_seconds\": %.3f,\n"
       "  \"run_wall_seconds\": %.3f,\n"
@@ -348,6 +355,8 @@ int main(int argc, char** argv) {
       "\"chunks\": %zu}",
       build_type(), nodes, sim_seconds, messages,
       static_cast<unsigned long long>(seed), shards, system.shard_count(),
+      static_cast<unsigned long long>(windows),
+      system.pdes_lookahead() * 1000.0,
       static_cast<unsigned long long>(checksum), setup_wall, run_wall,
       static_cast<unsigned long long>(events),
       run_wall > 0.0 ? static_cast<double>(events) / run_wall : 0.0,

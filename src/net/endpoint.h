@@ -1,8 +1,8 @@
 // Transport-agnostic delivery interface. Protocol nodes implement Endpoint to
 // receive traffic; every runtime backend (the discrete-event simulator's
-// net::Network, the real-time loopback transport) delivers through it. Lives
-// apart from network.h so backends that are not the simulator can depend on
-// the delivery contract without pulling in the simulation engine.
+// net::Network, the UDP reactor runtime::UdpRuntime) delivers through it.
+// Lives apart from network.h so backends that are not the simulator can
+// depend on the delivery contract without pulling in the simulation engine.
 #pragma once
 
 #include "common/types.h"

@@ -124,8 +124,8 @@ SimTime UdpRuntime::now() const {
 
 sim::EventId UdpRuntime::schedule_after(SimTime delay, sim::InlineCallback cb) {
   GOCAST_ASSERT_MSG(delay >= 0.0, "negative delay " << delay);
-  // Anchor to the wall clock (see RealtimeRuntime): the queue's own clock
-  // only advances when the reactor fires due work.
+  // Anchor to the wall clock: the queue's own clock only advances when the
+  // reactor fires due work.
   return queue_.schedule_at(now() + delay, std::move(cb));
 }
 
@@ -183,7 +183,7 @@ void UdpRuntime::send(NodeId from, NodeId to, net::MessagePtr msg) {
 }
 
 void UdpRuntime::notify_send_failure(NodeId to, net::MessagePtr msg) {
-  // Mirror the in-process backends: the notification arrives a beat after
+  // Mirror the simulator: the notification arrives a beat after
   // the send, never reentrantly from inside it.
   queue_.schedule_at(now() + config_.failure_notify_delay,
                      [this, to, m = std::move(msg)] {

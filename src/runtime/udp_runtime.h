@@ -1,5 +1,5 @@
-// UDP binding of the runtime seam (see runtime/context.h): the third
-// Context backend, and the first that crosses process (and host)
+// UDP binding of the runtime seam (see runtime/context.h): the live
+// Context backend beside the simulator, crossing process (and host)
 // boundaries.
 //
 // One UdpRuntime hosts ONE protocol node (config.self) behind one
@@ -7,14 +7,14 @@
 // by the wire codec (src/wire/codec.h) — encode straight into a reusable
 // arena-backed frame buffer, sendto(), and on the far side decode straight
 // into pooled messages. The timer wheel is a sim::Engine reused as a
-// deadline heap exactly as RealtimeRuntime does; the reactor loop sleeps
+// deadline heap anchored to the wall clock; the reactor loop sleeps
 // in epoll_wait until the earlier of "next timer deadline" and "datagram
 // arrived", so timers and I/O interleave on one thread and protocol code
 // needs no locking.
 //
 // The endpoint table maps NodeIds to sockaddrs (--peers in gocastd).
 // Send failures surface through net::Endpoint::handle_send_failure the
-// same way the in-process backends deliver them, from two sources:
+// same way the simulator delivers them, from two sources:
 //   - ICMP unreachable (a crashed peer's kernel refuses the port):
 //     harvested from the socket error queue (IP_RECVERR / MSG_ERRQUEUE)
 //     and correlated to the most recent message sent to that peer;
@@ -84,7 +84,7 @@ struct UdpConfig {
   int send_retry_limit = 8;
 
   /// Delay before a send failure is reported back to the endpoint,
-  /// mirroring the in-process backends' one-RTT reset latency.
+  /// mirroring the simulator's one-RTT reset latency.
   SimTime failure_notify_delay = 0.001;
 
   /// Seed for fork_rng() per-subsystem streams.
@@ -226,7 +226,7 @@ class UdpRuntime {
 };
 
 /// Copyable handle over a UdpRuntime — the Context type the protocol
-/// templates are instantiated with (same shape as RealtimeContext).
+/// templates are instantiated with (same shape as SimRuntime).
 class UdpContext final {
  public:
   using TimerId = sim::EventId;

@@ -84,7 +84,9 @@ TEST(UdpRuntime, TimersFireInDeadlineOrder) {
   rt.schedule_after(0.02, [order_ptr] { order_ptr->push_back(2); });
   rt.schedule_after(0.01, [order_ptr] { order_ptr->push_back(1); });
   auto id = rt.schedule_after(0.015, [order_ptr] { order_ptr->push_back(9); });
+  // A cancelled timer never fires; only the first cancel finds it pending.
   EXPECT_TRUE(rt.cancel(id));
+  EXPECT_FALSE(rt.cancel(id));
   std::size_t fired = rt.run_for(0.2);
   EXPECT_EQ(fired, 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));

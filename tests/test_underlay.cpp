@@ -106,13 +106,14 @@ TEST(Underlay, LinkLoadsRouteAlongPaths) {
 TEST(Underlay, SameRouterTrafficImposesNoStress) {
   Underlay g = make(50, 2);
   Rng rng(5);
-  g.assign_sites(4, rng);
-  // Force two sites onto one router by searching for a collision.
+  // 51 sites on 50 routers: by pigeonhole two sites share a router.
+  constexpr std::uint32_t kSites = 51;
+  g.assign_sites(kSites, rng);
   std::uint32_t a = 0;
-  std::uint32_t b = 1;
+  std::uint32_t b = 0;
   bool found = false;
-  for (std::uint32_t i = 0; i < 4 && !found; ++i) {
-    for (std::uint32_t j = i + 1; j < 4; ++j) {
+  for (std::uint32_t i = 0; i < kSites && !found; ++i) {
+    for (std::uint32_t j = i + 1; j < kSites; ++j) {
       if (g.router_of_site(i) == g.router_of_site(j)) {
         a = i;
         b = j;
@@ -121,7 +122,7 @@ TEST(Underlay, SameRouterTrafficImposesNoStress) {
       }
     }
   }
-  if (!found) GTEST_SKIP() << "no co-located sites in this draw";
+  ASSERT_TRUE(found) << "no co-located sites among " << kSites;
   std::unordered_map<std::uint64_t, double> traffic;
   traffic[TrafficStats::pack_pair(a, b)] = 1000.0;
   EXPECT_TRUE(g.link_loads(traffic).empty());
