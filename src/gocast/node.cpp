@@ -52,7 +52,7 @@ GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt,
                      rng.fork("dissemination"), kDefaultGroup, &suspicion_),
       own_landmarks_(membership::empty_landmarks()),
       group_rng_(rng.fork("multigroup")) {
-  if (config_->defense.corroborate_candidates) view_.enable_corroboration();
+  if (config_->defense == DefenseProfile::kFull) view_.enable_join_defense();
   overlay_.add_listener(&tree_);
   overlay_.add_listener(&dissemination_);
   overlay_.set_behavior(&behavior_);
@@ -153,19 +153,6 @@ void GoCastNodeT<RT>::seed_view(
   // not a potentially eclipsing advertiser.
   for (const membership::MemberEntry& e : entries) {
     view_.mark_corroborated(e.id);
-  }
-}
-
-template <runtime::Context RT>
-void GoCastNodeT<RT>::integrate_members(
-    NodeId from, std::span<const membership::MemberEntry> entries) {
-  const DefenseParams& defense = config_->defense;
-  if (defense.join_diversity || defense.corroborate_candidates) {
-    view_.integrate_from(
-        from, entries,
-        defense.join_diversity ? defense.max_new_per_source : 0);
-  } else {
-    view_.integrate(entries);
   }
 }
 
@@ -404,7 +391,6 @@ void GoCastNodeT<RT>::on_mux_timer() {
   add_section(kDefaultGroup, dissemination_);
   for (GroupId g : extra_ids_) add_section(g, find_group(g)->diss);
 
-  if (sections.empty() && config_->dissemination.skip_empty_gossips) return;
   rt_.send(id_, target,
            rt_.template make<GroupedGossipMsg>(
                sections, entries, dissemination_.piggyback_members(),
@@ -508,7 +494,7 @@ template <runtime::Context RT>
 void GoCastNodeT<RT>::on_grouped_gossip(NodeId from,
                                         const GroupedGossipMsg& msg) {
   // Membership piggyback is node-level: integrate once, not per section.
-  integrate_members(from, {msg.members.data(), msg.members.size()});
+  view_.integrate_from(from, {msg.members.data(), msg.members.size()});
   std::size_t offset = 0;
   for (const GroupSection& section : msg.sections) {
     if (offset + section.count > msg.entries.size()) break;  // malformed
@@ -693,7 +679,7 @@ void GoCastNodeT<RT>::on_join_request(NodeId from) {
 template <runtime::Context RT>
 void GoCastNodeT<RT>::on_join_reply(NodeId from,
                                     const overlay::JoinReplyMsg& msg) {
-  integrate_members(from, msg.members);
+  view_.integrate_from(from, msg.members);
   // The bootstrap node itself is a direct contact, not hearsay.
   view_.mark_corroborated(from);
 }

@@ -204,11 +204,6 @@ class GoCastNodeT final : public net::Endpoint {
   void on_join_request(NodeId from);
   void on_join_reply(NodeId from, const overlay::JoinReplyMsg& msg);
   void schedule_join_retry(NodeId bootstrap, int attempt);
-  /// Routes a membership batch through the join-path defenses when enabled
-  /// (advertiser-attributed merge with diversity cap / corroboration),
-  /// otherwise the plain integrate.
-  void integrate_members(NodeId from,
-                         std::span<const membership::MemberEntry> entries);
   void on_grouped_gossip(NodeId from, const GroupedGossipMsg& msg);
   void on_mux_timer();
   void on_keeper_timer();

@@ -14,6 +14,10 @@
 
 namespace gocast::core {
 
+/// A score reaching this evicts the neighbor and resets its score to 0, so a
+/// stored score always stays below it.
+inline constexpr double kSuspicionThreshold = 2.5;
+
 struct SuspicionLedger {
   struct State {
     double score = 0.0;
@@ -25,12 +29,12 @@ struct SuspicionLedger {
   };
 
   /// Per-neighbor contribution ledger for clique-aware eviction
-  /// (DefenseParams::cover_detection). Tracks, inside the current
-  /// cover_window, what the neighbor volunteered (digest entries + tree
-  /// pushes) versus merely served on demand (pull answers), plus the strike
-  /// count across windows. Unlike `scores`, strikes survive answered audits:
-  /// an audit answer proves liveness, not contribution, and wiping cover
-  /// evidence on it is exactly the exploit cliques use.
+  /// (DefenseProfile::kFull). Tracks, inside the current cover window, what
+  /// the neighbor volunteered (digest entries + tree pushes) versus merely
+  /// served on demand (pull answers), plus the strike count across windows.
+  /// Unlike `scores`, strikes survive answered audits: an audit answer
+  /// proves liveness, not contribution, and wiping cover evidence on it is
+  /// exactly the exploit cliques use.
   struct CoverState {
     SimTime window_start = 0.0;
     std::uint64_t deliveries_at_start = 0;  ///< owner's delivery counter

@@ -70,6 +70,14 @@ long Args::get_int(const std::string& name, long fallback) const {
   return v;
 }
 
+std::size_t Args::get_count(const std::string& name,
+                             std::size_t fallback) const {
+  if (!has(name)) return fallback;
+  long v = get_int(name, 0);
+  GOCAST_ASSERT_MSG(v >= 0, "--" << name << " must be >= 0, got " << v);
+  return static_cast<std::size_t>(v);
+}
+
 bool Args::get_bool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;

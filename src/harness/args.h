@@ -3,6 +3,7 @@
 // silently run the wrong experiment).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,6 +21,10 @@ class Args {
                                 const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] long get_int(const std::string& name, long fallback) const;
+  /// A non-negative integer (node, message, thread counts...). Fatal on a
+  /// negative value, which would otherwise wrap to a huge size_t.
+  [[nodiscard]] std::size_t get_count(const std::string& name,
+                                      std::size_t fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Positional (non-flag) arguments in order.

@@ -93,8 +93,8 @@ struct ScenarioConfig {
   bool check_invariants = false;
 
   /// Protocol-level defenses against adversarial neighbors (DESIGN.md §9).
-  /// All off by default; GoCast-family protocols only.
-  core::DefenseParams defense;
+  /// Off by default; GoCast-family protocols only.
+  core::DefenseProfile defense = core::DefenseProfile::kOff;
 
   /// Global per-message loss probability active for the whole run (0 = no
   /// loss). Unlike a `loss` fault event this applies from t=0.

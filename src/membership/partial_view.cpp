@@ -126,7 +126,7 @@ void PartialView::insert(const MemberEntry& entry) {
     // sample of the membership stream. The index erase must precede the
     // slot overwrite: probes resolve ids through the entry they point at.
     std::size_t victim = static_cast<std::size_t>(rng_.next_below(entries_.size()));
-    if (corroborate_) first_advertiser_.erase(entries_[victim].id);
+    if (join_defense_) first_advertiser_.erase(entries_[victim].id);
     index_erase(entries_[victim].id);
     store_->release(entries_[victim].lm);
     entries_[victim] = CompactEntry{entry.id, store_->intern(entry.landmark_rtt),
@@ -145,38 +145,33 @@ void PartialView::integrate(std::span<const MemberEntry> entries) {
 }
 
 void PartialView::integrate_from(NodeId from,
-                                 std::span<const MemberEntry> entries,
-                                 std::size_t max_new) {
-  std::size_t budget = max_new == 0 ? entries.size() : max_new;
+                                 std::span<const MemberEntry> entries) {
+  if (!join_defense_) {
+    integrate(entries);
+    return;
+  }
+  std::size_t budget = kMaxNewPerSource;
   for (const MemberEntry& e : entries) {
     if (e.id == self_ || e.id == kInvalidNode) continue;
     if (lookup(e.id) == kEmptySlot) {
       if (budget == 0) continue;  // diversity cap: this advertiser is done
       --budget;
-    }
-    insert_tracked(e, from);
-  }
-}
-
-void PartialView::insert_tracked(const MemberEntry& entry, NodeId from) {
-  if (corroborate_) {
-    if (lookup(entry.id) == kEmptySlot) {
       // First sighting: remember who vouched. (A node advertising itself
       // counts as its own first voucher — corroboration needs a second,
       // distinct one.)
-      first_advertiser_.try_emplace(entry.id, from);
+      first_advertiser_.try_emplace(e.id, from);
     } else {
-      auto it = first_advertiser_.find(entry.id);
+      auto it = first_advertiser_.find(e.id);
       if (it != first_advertiser_.end() && it->second != from) {
         first_advertiser_.erase(it);  // second distinct voucher
       }
     }
+    insert(e);
   }
-  insert(entry);
 }
 
 void PartialView::remove(NodeId id) {
-  if (corroborate_) first_advertiser_.erase(id);
+  if (join_defense_) first_advertiser_.erase(id);
   std::uint32_t pos = lookup(id);
   if (pos == kEmptySlot) return;
   std::uint32_t last = static_cast<std::uint32_t>(entries_.size() - 1);

@@ -52,35 +52,37 @@ class PartialView {
   /// gossip stay present, one-shot entries (e.g. dead nodes) wash out.
   void insert(const MemberEntry& entry);
 
-  /// Merges a batch of piggybacked entries.
+  /// Merges a batch of trusted entries (bootstrap seeds): a plain insert
+  /// loop that never records an advertiser.
   void integrate(std::span<const MemberEntry> entries);
 
-  /// Join-path defended merge (DESIGN.md §9): a batch attributed to a single
-  /// advertiser. When `max_new` > 0, at most that many previously-unknown
-  /// ids are inserted from this batch (refreshes of known entries are never
-  /// limited) — candidate diversity against an eclipse flood. When
-  /// corroboration tracking is on (enable_corroboration), each
-  /// previously-unknown id is recorded against `from` and stays
-  /// uncorroborated until a second *distinct* advertiser vouches for it.
-  void integrate_from(NodeId from, std::span<const MemberEntry> entries,
-                      std::size_t max_new = 0);
+  /// Merges a batch of piggybacked entries advertised by `from`. Undefended,
+  /// this is integrate(). Once enable_join_defense was called it is the
+  /// join-path defended merge (DESIGN.md §9): at most kMaxNewPerSource
+  /// previously-unknown ids are inserted from one batch (refreshes of known
+  /// entries are never limited) — candidate diversity against an eclipse
+  /// flood — and each previously-unknown id is recorded against `from` and
+  /// stays uncorroborated until a second *distinct* advertiser vouches for it.
+  void integrate_from(NodeId from, std::span<const MemberEntry> entries);
 
-  /// Turns on multi-source corroboration tracking
-  /// (DefenseParams::corroborate_candidates). Off by default: with tracking
-  /// off, corroborated() is unconditionally true and integrate_from keeps
-  /// no side table.
-  void enable_corroboration() { corroborate_ = true; }
+  /// New-entry budget per advertiser per batch under the join defense.
+  static constexpr std::size_t kMaxNewPerSource = 8;
+
+  /// Turns on the join-path defenses (DefenseProfile::kFull). Off by
+  /// default: corroborated() is then unconditionally true and integrate_from
+  /// keeps no side table.
+  void enable_join_defense() { join_defense_ = true; }
 
   /// True when `id` was vouched for by two distinct advertisers, was seeded
-  /// via mark_corroborated, or tracking is disabled.
+  /// via mark_corroborated, or the join defense is off.
   [[nodiscard]] bool corroborated(NodeId id) const {
-    return !corroborate_ || first_advertiser_.count(id) == 0;
+    return !join_defense_ || first_advertiser_.count(id) == 0;
   }
 
   /// Marks `id` trusted without waiting for a second voucher (bootstrap
   /// seeds and peers we have talked to directly).
   void mark_corroborated(NodeId id) {
-    if (corroborate_) first_advertiser_.erase(id);
+    if (join_defense_) first_advertiser_.erase(id);
   }
 
   /// Drops a member (e.g. observed dead), releasing its landmark reference.
@@ -155,8 +157,6 @@ class PartialView {
   }
   /// Position of `id` in entries_, or kEmptySlot when absent.
   [[nodiscard]] std::uint32_t lookup(NodeId id) const;
-  /// insert() with advertiser attribution (corroboration bookkeeping).
-  void insert_tracked(const MemberEntry& entry, NodeId from);
   /// Records `id` (which must be absent) at position `pos`.
   void index_insert(NodeId id, std::uint32_t pos);
   /// Tombstones `id`'s slot; no-op when absent.
@@ -169,7 +169,7 @@ class PartialView {
   std::size_t capacity_;
   Rng rng_;
   std::shared_ptr<LandmarkStore> store_;
-  bool corroborate_ = false;
+  bool join_defense_ = false;
   /// id -> first advertiser, for entries still awaiting a second distinct
   /// voucher; absence means corroborated. Bounded by the view: an id's
   /// record is dropped when it leaves the view.

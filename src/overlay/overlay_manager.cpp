@@ -346,7 +346,7 @@ void OverlayManagerT<RT>::build_initial_measure_queue() {
 template <runtime::Context RT>
 bool OverlayManagerT<RT>::eligible_candidate(NodeId id) const {
   // corroborated() is unconditionally true unless the view was switched into
-  // corroboration tracking (DefenseParams::corroborate_candidates): then a
+  // the join defense (DefenseProfile::kFull): then a
   // member vouched for by only one advertiser — the eclipse flood pattern —
   // should not become an overlay link while a second, distinct source has
   // not confirmed it. Liveness floor: a node with fewer than two links has

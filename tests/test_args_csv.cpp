@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/assert.h"
 #include "harness/args.h"
 #include "harness/csv.h"
 
@@ -50,6 +51,16 @@ TEST(Args, BoolRecognizesTrueForms) {
   EXPECT_TRUE(args.get_bool("b", false));
   EXPECT_TRUE(args.get_bool("c", false));
   EXPECT_FALSE(args.get_bool("d", true));
+}
+
+TEST(Args, CountRejectsNegativeValues) {
+  // Parse-only: a negative count must fail here, before any caller sizes a
+  // deployment from the wrapped size_t.
+  Args args =
+      parse({"--nodes=-1", "--threads=4"}, {"nodes", "threads", "seeds"});
+  EXPECT_THROW((void)args.get_count("nodes", 8), AssertionError);
+  EXPECT_EQ(args.get_count("threads", 0), 4u);
+  EXPECT_EQ(args.get_count("seeds", 2), 2u);
 }
 
 TEST(Csv, WritesCurve) {

@@ -27,19 +27,6 @@ FaultBehavior liar_behavior() {
   return b;
 }
 
-DefenseParams all_defenses() {
-  DefenseParams d;
-  d.track_suspicion = true;
-  d.escalate_pulls = true;
-  d.deprioritize_suspects = true;
-  d.evict_suspects = true;
-  d.digest_sanity = true;
-  d.suspect_silent = true;
-  d.audit_pulls = true;
-  d.audit_every = 1;
-  return d;
-}
-
 // ---------------------------------------------------------------------------
 // Behavior semantics at the node level
 // ---------------------------------------------------------------------------
@@ -182,7 +169,7 @@ TEST(Defenses, EvictMuteForwardersUnderTraffic) {
   config.exclude_adversaries = true;
   config.drain = 10.0;
   config.fault_spec = "70:mute_forwarder:frac=0.125";
-  config.defense = all_defenses();
+  config.defense = DefenseProfile::kOffense;
 
   harness::ScenarioResult result = harness::run_scenario(config);
   // Challenge pulls catch the mutes: honest neighbors evict real adversaries.
@@ -204,11 +191,53 @@ TEST(Defenses, HonestRunAtZeroLossHasNoEvictions) {
   config.message_rate = 50.0;
   config.payload_bytes = 256;
   config.drain = 10.0;
-  config.defense = all_defenses();
+  config.defense = DefenseProfile::kOffense;
 
   harness::ScenarioResult result = harness::run_scenario(config);
   EXPECT_EQ(result.suspects_evicted, 0u);
   EXPECT_GE(result.report.delivered_fraction, 0.999);
+}
+
+TEST(Defenses, StoredSuspicionScoresStayBelowTheThreshold) {
+  // A score that reaches the threshold is reset as its neighbor is evicted,
+  // so no stored score can sit at or above it, even under loss, where honest
+  // neighbors also collect offenses.
+  SystemConfig config;
+  config.node_count = 48;
+  config.seed = 23;
+  config.node.defense = DefenseProfile::kOffense;
+  System system(config);
+  system.start();
+  system.run_for(60.0);
+  system.network().set_loss_probability(0.03);
+  const std::vector<NodeId> mutes = {3, 11, 19, 27, 35, 43};
+  for (NodeId mute : mutes) {
+    system.node(mute).set_fault_behavior(mute_behavior());
+  }
+
+  for (std::size_t i = 0; i < 300; ++i) {
+    NodeId source = static_cast<NodeId>((i * 8) % system.size());
+    system.node(source).multicast(256);  // multiples of 8 are never mute
+    system.run_for(0.05);
+  }
+  system.run_for(20.0);
+
+  std::size_t evictions = 0;
+  std::size_t scored = 0;
+  for (NodeId id = 0; id < system.size(); ++id) {
+    const SuspicionLedger& ledger =
+        system.node(id).dissemination().suspicion_ledger();
+    evictions += ledger.evictions.size();
+    for (const auto& [peer, state] : ledger.scores) {
+      if (state.score > 0.0) ++scored;
+      EXPECT_LT(state.score, kSuspicionThreshold)
+          << "node " << id << " holds score " << state.score << " for "
+          << peer;
+    }
+  }
+  // Not vacuous: scores were raised, and some reached the threshold.
+  EXPECT_GT(scored, 0u);
+  EXPECT_GT(evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------

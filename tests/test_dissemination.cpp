@@ -175,19 +175,6 @@ TEST(Dissemination, GossipCountersAdvance) {
   EXPECT_EQ(d.digest_entries_sent(), 0u);
 }
 
-TEST(Dissemination, SkipEmptyGossipsSuppressesIdleTraffic) {
-  SystemConfig config = small_config(8);
-  config.node.dissemination.skip_empty_gossips = true;
-  System system(config);
-  system.start();
-  system.run_for(5.0);
-  std::uint64_t gossips = 0;
-  for (NodeId id = 0; id < 8; ++id) {
-    gossips += system.node(id).dissemination().gossips_sent();
-  }
-  EXPECT_EQ(gossips, 0u);
-}
-
 TEST(Dissemination, DeadNodesDeliverNothing) {
   System system(small_config(16, 17));
   analysis::DeliveryTracker tracker(16);

@@ -241,12 +241,12 @@ membership::MemberEntry entry_for(NodeId id) {
 
 TEST(PartialViewDefense, SecondDistinctAdvertiserCorroborates) {
   membership::PartialView view(0, 16, Rng(1));
-  // Tracking off: everything is corroborated.
+  // Defense off: everything is corroborated.
   view.integrate_from(10, std::vector{entry_for(1)});
   EXPECT_TRUE(view.corroborated(1));
 
   membership::PartialView tracked(0, 16, Rng(1));
-  tracked.enable_corroboration();
+  tracked.enable_join_defense();
   tracked.integrate_from(10, std::vector{entry_for(1), entry_for(2)});
   EXPECT_TRUE(tracked.contains(1));
   EXPECT_FALSE(tracked.corroborated(1));
@@ -272,21 +272,23 @@ TEST(PartialViewDefense, SecondDistinctAdvertiserCorroborates) {
 }
 
 TEST(PartialViewDefense, PerAdvertiserCapLimitsNewEntries) {
-  membership::PartialView view(0, 32, Rng(2));
+  constexpr std::size_t kCap = membership::PartialView::kMaxNewPerSource;
+  membership::PartialView view(0, 64, Rng(2));
+  view.enable_join_defense();
   std::vector<membership::MemberEntry> flood;
-  for (NodeId id = 1; id <= 10; ++id) flood.push_back(entry_for(id));
+  for (NodeId id = 1; id <= 2 * kCap + 4; ++id) flood.push_back(entry_for(id));
 
-  // One advertiser may introduce at most max_new previously-unknown ids.
-  view.integrate_from(99, flood, /*max_new=*/3);
-  EXPECT_EQ(view.size(), 3u);
+  // One advertiser may introduce at most kCap previously-unknown ids.
+  view.integrate_from(99, flood);
+  EXPECT_EQ(view.size(), kCap);
 
   // Refreshes of known entries are never limited; new ids still are.
-  view.integrate_from(99, flood, /*max_new=*/3);
-  EXPECT_EQ(view.size(), 6u);
+  view.integrate_from(99, flood);
+  EXPECT_EQ(view.size(), 2 * kCap);
 
-  // Unlimited integration takes the rest.
-  view.integrate_from(99, flood, /*max_new=*/0);
-  EXPECT_EQ(view.size(), 10u);
+  // Trusted (unattributed) integration is never capped.
+  view.integrate(flood);
+  EXPECT_EQ(view.size(), flood.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -395,22 +397,6 @@ TEST(MembershipDeterminism, CliqueSelectionIsSeedDeterministic) {
 // Clique-aware eviction end to end
 // ---------------------------------------------------------------------------
 
-core::DefenseParams full_defenses() {
-  core::DefenseParams d;
-  d.track_suspicion = true;
-  d.escalate_pulls = true;
-  d.deprioritize_suspects = true;
-  d.evict_suspects = true;
-  d.digest_sanity = true;
-  d.suspect_silent = true;
-  d.audit_pulls = true;
-  d.audit_every = 1;
-  d.cover_detection = true;
-  d.join_diversity = true;
-  d.corroborate_candidates = true;
-  return d;
-}
-
 TEST(CliqueDefense, CoverDetectionEvictsTheClique) {
   harness::ScenarioConfig config;
   config.node_count = 96;
@@ -420,7 +406,7 @@ TEST(CliqueDefense, CoverDetectionEvictsTheClique) {
   config.message_rate = 20.0;
   config.drain = 20.0;
   config.fault_spec = "40:clique:count=8";
-  config.defense = full_defenses();
+  config.defense = core::DefenseProfile::kFull;
   config.exclude_adversaries = true;
   config.coverage_probe_at = config.warmup + 45.0;
   harness::ScenarioResult result = harness::run_scenario(config);
@@ -449,7 +435,7 @@ TEST(CliqueDefense, HonestLosslessRunHasNoCoverEvictions) {
   config.message_count = 400;
   config.message_rate = 20.0;
   config.drain = 15.0;
-  config.defense = full_defenses();
+  config.defense = core::DefenseProfile::kFull;
   harness::ScenarioResult result = harness::run_scenario(config);
   // No adversaries, no loss: the contribution ledger never mistakes an
   // honest neighbor for a free-rider.

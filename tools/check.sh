@@ -6,8 +6,8 @@
 #   tools/check.sh tsan            # TSan: runner tests + 2-thread mini-sweep
 #   tools/check.sh byzantine-smoke # adversarial-defense gate (ext_byzantine)
 #   tools/check.sh membership-smoke # churn/collusion gate: flash crowd +
-#                                  # colluding clique, defenses off vs on
-#                                  # (ext_membership --smoke)
+#                                  # colluding clique, offense vs full
+#                                  # defense profile (ext_membership --smoke)
 #   tools/check.sh udp-smoke       # 8 gocastd processes over loopback UDP,
 #                                  # clean run + kill -9 chaos run
 #   tools/check.sh multigroup-smoke # multi-group gate: sim sweep
@@ -77,31 +77,56 @@ PY
   exit 0
 fi
 
+# smoke_at_two_thread_counts BIN: runs the bench gate BIN --smoke at
+# --threads 1 and at --threads 4, each writing its cells to a CSV. Both runs
+# must pass the gate, and the two CSVs must be byte-identical: the benches
+# merge jobs in index order and derive every decision from the job's own
+# seed, so the thread count must not show in the output.
+smoke_at_two_thread_counts() {
+  local bin="$1" dir
+  dir="$(mktemp -d)"
+  "${bin}" --smoke --threads 1 --csv "${dir}/t1.csv"
+  if ! "${bin}" --smoke --threads 4 --csv "${dir}/t4.csv" >"${dir}/t4.log"; then
+    cat "${dir}/t4.log"
+    exit 1
+  fi
+  if ! cmp "${dir}/t1.csv" "${dir}/t4.csv"; then
+    echo "FATAL: $(basename "${bin}") --smoke CSV differs between" \
+      "--threads 1 and --threads 4" >&2
+    exit 1
+  fi
+  echo "--threads 1 vs --threads 4: smoke CSVs byte-identical"
+  rm -rf "${dir}"
+}
+
 # byzantine-smoke: the adversarial-defense gate — one mixed
 # mute-forwarder+digest-liar cell of bench/ext_byzantine, defenses off vs on
 # vs an equal-sized crash baseline. The bench's exit status carries the
 # verdict (defended delivery strictly above undefended, >= 90% eviction
-# coverage, and at least the honest-crash baseline).
+# coverage, and at least the honest-crash baseline); the run repeats at a
+# second thread count and the two CSVs must match.
 if [[ "${1:-}" == "byzantine-smoke" ]]; then
   cmake -B "${root}/build" -S "${root}"
   cmake --build "${root}/build" -j "${jobs}" --target ext_byzantine
   echo "=== byzantine-smoke: ext_byzantine --smoke ==="
-  "${root}/build/bench/ext_byzantine" --smoke
+  smoke_at_two_thread_counts "${root}/build/bench/ext_byzantine"
   echo "=== byzantine-smoke passed ==="
   exit 0
 fi
 
 # membership-smoke: the churn + collusion gate — one 192-node cell of
 # bench/ext_membership with a 25% flash crowd joining mid-run and a 10%
-# colluding clique, PR-5 defenses (base) vs the clique/eclipse-aware set
-# (full). The bench's exit status carries the verdict: defended delivery at
-# least undefended (within noise), >= 80% of the clique evicted, every join
-# instrumented, and no unexpected invariant violations after settle.
+# colluding clique, the kOffense defense profile (base) vs kFull (full: +
+# cover eviction and join-path hardening). The bench's exit status carries
+# the verdict: full delivery at least base (within noise), >= 80% of the
+# clique evicted, every join instrumented, and no unexpected invariant
+# violations after settle. The run repeats at a second thread count and the
+# two CSVs must match.
 if [[ "${1:-}" == "membership-smoke" ]]; then
   cmake -B "${root}/build" -S "${root}"
   cmake --build "${root}/build" -j "${jobs}" --target ext_membership
   echo "=== membership-smoke: ext_membership --smoke ==="
-  "${root}/build/bench/ext_membership" --smoke --threads 2
+  smoke_at_two_thread_counts "${root}/build/bench/ext_membership"
   echo "=== membership-smoke passed ==="
   exit 0
 fi

@@ -180,7 +180,7 @@ bool plan_deployment(const gocast::harness::Args& args,
     return false;
   }
   d.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  d.messages = static_cast<std::size_t>(args.get_int("messages", 4));
+  d.messages = args.get_count("messages", 4);
 
   // Protocol periods scaled for a live run: the defaults target long
   // simulated runs (15 s heartbeats), which would make a human wait.
@@ -198,7 +198,7 @@ bool plan_deployment(const gocast::harness::Args& args,
   // Multi-group deployment: the directory derives from (topology, n, seed)
   // over the dense universe [0, n), so every node computes identical
   // subscriptions with zero coordination.
-  const long group_count = args.get_int("groups", 1);
+  const std::size_t group_count = args.get_count("groups", 1);
   if (group_count > 1) {
     for (std::size_t i = 0; i < d.ids.size(); ++i) {
       if (d.ids[i] != static_cast<NodeId>(i)) {
@@ -208,7 +208,7 @@ bool plan_deployment(const gocast::harness::Args& args,
       }
     }
     core::GroupTopology topology;
-    topology.group_count = static_cast<std::size_t>(group_count);
+    topology.group_count = group_count;
     topology.min_group_size = 2;  // swarms are small; keep every group real
     d.directory = std::make_shared<core::GroupDirectory>(
         topology, d.ids.size(), d.seed);
@@ -356,8 +356,8 @@ int run(const gocast::harness::Args& args) {
     ids.push_back(rt_config.self);
     rt_configs.push_back(std::move(rt_config));
   } else {
-    const long n = args.get_int("nodes", 8);
-    for (long i = 0; i < n; ++i) {
+    const std::size_t n = args.get_count("nodes", 8);
+    for (std::size_t i = 0; i < n; ++i) {
       runtime::UdpConfig rt_config = base;
       rt_config.self = static_cast<NodeId>(i);
       rt_configs.push_back(std::move(rt_config));
@@ -367,8 +367,7 @@ int run(const gocast::harness::Args& args) {
 
   Deployment d;
   if (!plan_deployment(args, std::move(ids), d)) return 3;
-  const std::size_t payload =
-      static_cast<std::size_t>(args.get_int("payload", 512));
+  const std::size_t payload = args.get_count("payload", 512);
   const double warmup = args.get_double("warmup", 2.0);
   const double timeout = args.get_double("timeout", 20.0);
   const double drain = args.get_double("drain", 1.0);
