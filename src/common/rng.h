@@ -37,6 +37,11 @@ class Rng {
     return Rng(splitmix64(s));
   }
 
+  /// The material fork() derives children from: Rng(r.seed()).fork(x)
+  /// equals r.fork(x), so a holder that only ever forks can keep these
+  /// 8 bytes instead of the 2.5 KB engine.
+  [[nodiscard]] std::uint64_t seed() const { return seed_material_; }
+
   /// Uniform integer in [0, bound). bound must be positive.
   [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) {
     GOCAST_ASSERT(bound > 0);

@@ -51,7 +51,7 @@ GoCastNodeT<RT>::GoCastNodeT(NodeId id, RT rt,
                      config_->dissemination, config_->defense,
                      rng.fork("dissemination"), kDefaultGroup, &suspicion_),
       own_landmarks_(membership::empty_landmarks()),
-      group_rng_(rng.fork("multigroup")) {
+      group_seed_(rng.fork("multigroup").seed()) {
   if (config_->defense == DefenseProfile::kFull) view_.enable_join_defense();
   overlay_.add_listener(&tree_);
   overlay_.add_listener(&dissemination_);
@@ -231,9 +231,9 @@ void GoCastNodeT<RT>::join_group(GroupId g) {
     }
     return;
   }
-  auto st = std::make_unique<GroupState>(id_, rt_, view_, overlay_, *config_,
-                                         g, &suspicion_,
-                                         group_rng_.fork(std::uint64_t{g}));
+  auto st = std::make_unique<GroupState>(
+      id_, rt_, view_, overlay_, *config_, g, &suspicion_,
+      Rng(group_seed_).fork(std::uint64_t{g}));
   GroupState* raw = st.get();
   extra_groups_.insert(
       std::lower_bound(

@@ -238,7 +238,9 @@ class GoCastNodeT final : public net::Endpoint {
   /// Sorted group ids mirroring extra_groups_ keys (cheap iteration and the
   /// extra_group_ids() accessor).
   std::vector<GroupId> extra_ids_;
-  Rng group_rng_;
+  /// Seed of the per-group streams (join_group forks Rng(group_seed_)).
+  /// Kept as seed material: it is only ever forked, never drawn from.
+  std::uint64_t group_seed_;
   DeliveryHook delivery_hook_;
   std::unique_ptr<runtime::PeriodicTimer<RT>> mux_timer_;
   std::unique_ptr<runtime::PeriodicTimer<RT>> keeper_timer_;

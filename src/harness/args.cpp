@@ -57,7 +57,8 @@ double Args::get_double(const std::string& name, double fallback) const {
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
-  GOCAST_ASSERT_MSG(end != it->second.c_str(), "bad number for --" << name);
+  GOCAST_ASSERT_MSG(end != it->second.c_str() && *end == '\0',
+                    "bad number for --" << name << ": '" << it->second << "'");
   return v;
 }
 
@@ -66,7 +67,8 @@ long Args::get_int(const std::string& name, long fallback) const {
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   long v = std::strtol(it->second.c_str(), &end, 10);
-  GOCAST_ASSERT_MSG(end != it->second.c_str(), "bad integer for --" << name);
+  GOCAST_ASSERT_MSG(end != it->second.c_str() && *end == '\0',
+                    "bad integer for --" << name << ": '" << it->second << "'");
   return v;
 }
 

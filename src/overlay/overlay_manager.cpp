@@ -306,7 +306,7 @@ NodeId OverlayManagerT<RT>::next_nearby_candidate() {
     if (eligible_candidate(id) && view_.contains(id)) return id;
   }
   if (!measure_queue_.empty()) {
-    measure_queue_ = {};
+    std::vector<NodeId>().swap(measure_queue_);  // `= {}` keeps capacity
     measure_head_ = 0;
   }
 

@@ -170,6 +170,10 @@ class OverlayManagerT {
   /// Approximate heap bytes owned by the overlay layer (neighbor table,
   /// pending handshakes/pings, blacklist, probe queue, change log).
   [[nodiscard]] std::size_t memory_bytes() const;
+  /// Capacity of the initial probe order (diagnostics; 0 once drained).
+  [[nodiscard]] std::size_t measure_queue_capacity() const {
+    return measure_queue_.capacity();
+  }
   [[nodiscard]] std::uint64_t pings_sent() const { return pings_sent_; }
 
  private:

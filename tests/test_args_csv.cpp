@@ -63,6 +63,25 @@ TEST(Args, CountRejectsNegativeValues) {
   EXPECT_EQ(args.get_count("seeds", 2), 2u);
 }
 
+TEST(Args, NumbersRejectTrailingGarbage) {
+  // Parse-only: the whole value must be a number, so `--nodes 32x` fails
+  // instead of silently running 32 nodes.
+  Args args = parse({"--nodes=32x", "--seed=7 ", "--rate=1.5s", "--loss=0.05",
+                     "--warmup=1e2", "--fanout=4.5", "--empty="},
+                    {"nodes", "seed", "rate", "loss", "warmup", "fanout",
+                     "empty"});
+  EXPECT_THROW((void)args.get_int("nodes", 0), AssertionError);
+  EXPECT_THROW((void)args.get_count("nodes", 0), AssertionError);
+  EXPECT_THROW((void)args.get_int("seed", 0), AssertionError);
+  EXPECT_THROW((void)args.get_double("rate", 0.0), AssertionError);
+  EXPECT_THROW((void)args.get_int("fanout", 0), AssertionError);
+  EXPECT_THROW((void)args.get_int("empty", 0), AssertionError);
+  EXPECT_THROW((void)args.get_double("empty", 0.0), AssertionError);
+  EXPECT_DOUBLE_EQ(args.get_double("loss", 0.0), 0.05);
+  EXPECT_DOUBLE_EQ(args.get_double("warmup", 0.0), 100.0);
+  EXPECT_DOUBLE_EQ(args.get_double("fanout", 0.0), 4.5);
+}
+
 TEST(Csv, WritesCurve) {
   std::string path = ::testing::TempDir() + "/curve_test.csv";
   write_curve_csv(path, {{0.0, 0.1}, {0.5, 0.8}, {1.0, 1.0}});

@@ -117,6 +117,30 @@ TEST(FlatMap, TombstoneChurnKeepsCapacityBounded) {
   }
 }
 
+// Growth rehashes leave the outgrown arrays in the scratch buffers. Above
+// the retention threshold they must really be freed (not just emptied: a
+// cleared vector keeps its capacity), so the table accounts only for its
+// live arrays; a small table keeps its scratch for allocation-free churn.
+TEST(FlatMap, GrowthFreesLargeScratchAndKeepsSmallScratch) {
+  using Map = FlatMap<std::uint64_t, std::uint64_t>;
+  constexpr std::size_t kSlotBytes = sizeof(Map::value_type) + 1;  // + state
+  auto live_bytes = [](std::size_t cap) {
+    return cap * kSlotBytes + (cap + 63) / 64 * sizeof(std::uint64_t);
+  };
+
+  Map big;
+  for (std::uint64_t i = 0; i < 600; ++i) big[i] = i;
+  ASSERT_EQ(big.capacity(), 1024u);
+  EXPECT_EQ(big.memory_bytes(), live_bytes(1024))
+      << "the outgrown 512-slot array is still held as scratch";
+
+  Map small;
+  for (std::uint64_t i = 0; i < 20; ++i) small[i] = i;
+  ASSERT_EQ(small.capacity(), 32u);
+  // 16 outgrown slots of 16 B stay under the 1 KiB retention threshold.
+  EXPECT_EQ(small.memory_bytes(), live_bytes(32) + 16 * kSlotBytes);
+}
+
 TEST(FlatMap, EraseWhileIterating) {
   FlatMap<int, int> map;
   for (int i = 0; i < 100; ++i) map[i] = i;

@@ -244,6 +244,19 @@ TEST(OverlayListeners, AddAndRemoveEventsFire) {
   EXPECT_EQ(recorder.events[1], std::make_pair(NodeId{1}, false));
 }
 
+TEST(OverlayStats, DrainedMeasureQueueHoldsNoCapacity) {
+  // The initial probe order is consumed once; after the drain its storage
+  // must be released, not merely emptied.
+  ShellCluster cluster(24, default_params());
+  cluster.seed_full_views();
+  cluster.start_all();
+  auto& overlay = cluster.node(0).overlay();
+  cluster.engine().run_until(0.5);
+  EXPECT_GT(overlay.measure_queue_capacity(), 0u);
+  cluster.engine().run_until(20.0);
+  EXPECT_EQ(overlay.measure_queue_capacity(), 0u);
+}
+
 TEST(OverlayParamsValidation, RejectsBadConfig) {
   sim::Engine engine;
   net::Network network(engine, std::make_shared<net::RingLatencyModel>(4, 0.08),

@@ -55,6 +55,20 @@ TEST(Rng, ForkByIndexIsStable) {
   EXPECT_EQ(a.next_below(1U << 30), b.next_below(1U << 30));
 }
 
+// A holder that only forks may keep the seed instead of the generator:
+// rebuilding from seed() must yield the same children, even after the
+// original generator has been drawn from.
+TEST(Rng, ForkFromSeedMatchesFork) {
+  Rng parent = Rng(13).fork("multigroup");
+  Rng rebuilt(parent.seed());
+  (void)parent.next_below(1U << 30);
+  Rng a = parent.fork(std::uint64_t{3});
+  Rng b = rebuilt.fork(std::uint64_t{3});
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(a.next_below(1U << 30), b.next_below(1U << 30));
+  }
+}
+
 TEST(Rng, ForkDoesNotConsumeParentStream) {
   Rng a(11);
   Rng b(11);
